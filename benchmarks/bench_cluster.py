@@ -29,6 +29,10 @@ ratio plus why the floor was not applied.  Correctness assertions
 (identity across shard counts, bit-identical recovery) are always
 enforced.
 
+Latency gate: the routed ``/score`` p50 at every shard count must be
+at most ``MAX_ROUTED_P50_MS`` (4x the workers' batch hold).  It is
+enforced on every host: it catches transport stalls, not slow cores.
+
 Run standalone:
 
     PYTHONPATH=src python benchmarks/bench_cluster.py --quick
@@ -66,10 +70,18 @@ REPO_ROOT = Path(__file__).parent.parent
 #: the host has at least 4 CPUs; see module docstring).
 MIN_SCALING = 2.5
 
+#: Worker batch hold: how long a shard waits to fill a micro-batch.
+WORKER_MAX_DELAY_MS = 5
+
+#: Latency gate: routed ``/score`` p50 at every shard count must stay
+#: within a small multiple of the workers' batch hold.  A Nagle /
+#: delayed-ACK stall on either HTTP hop costs >= 40 ms and trips it.
+MAX_ROUTED_P50_MS = 4 * WORKER_MAX_DELAY_MS
+
 #: Worker micro-batching shape (same as the single-process benchmark).
 WORKER_ARGS = (
     "--max-batch", "64",
-    "--max-delay-ms", "5",
+    "--max-delay-ms", str(WORKER_MAX_DELAY_MS),
     "--queue-depth", "512",
     "--rescore-growth", "1.25",
 )
@@ -375,6 +387,12 @@ def write_outputs(result: dict) -> None:
 def check_acceptance(result: dict) -> None:
     assert result["identical_across_shard_counts"]
     assert result["recovery"]["bit_identical"]
+    for shards, load in result["throughput"].items():
+        assert load["latency_p50_ms"] <= MAX_ROUTED_P50_MS, (
+            f"routed /score p50 at {shards} shard(s) is "
+            f"{load['latency_p50_ms']} ms (gate {MAX_ROUTED_P50_MS} ms = "
+            f"4x the {WORKER_MAX_DELAY_MS} ms worker batch hold)"
+        )
     scaling = result["scaling"]
     if scaling["floor_enforced"]:
         assert scaling["ratio"] >= scaling["floor"], (

@@ -65,7 +65,6 @@ from repro.datasets.builders import (
     build_eplatform,
     default_language,
 )
-from repro.analysis.reporting import render_table
 
 
 def _resolve_model(path: str, version: int | None = None):
@@ -291,6 +290,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    # Imported here: the reporting module pulls in scipy.stats and
+    # networkx, which ``cats serve`` processes never need.
+    from repro.analysis.reporting import render_table
+
     cats = load_cats(args.model_dir)
     d1 = build_d1(default_language(), scale=args.scale, seed=args.seed)
     result, report = evaluate_on_dataset(cats, d1, n_workers=args.workers)

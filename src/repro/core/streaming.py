@@ -570,9 +570,7 @@ class StreamingDetector:
                 {
                     "item_id": item_id,
                     "sales_volume": state.sales_volume,
-                    "comments": [
-                        dataclasses.asdict(c) for c in state.comments
-                    ],
+                    "comments": [c.to_dict() for c in state.comments],
                     "n_accumulated": state.n_accumulated,
                     "last_scored_size": state.last_scored_size,
                     "last_probability": state.last_probability,

@@ -66,7 +66,7 @@ class TrafficRecorder:
         if not comments and not sales:
             return
         event = {
-            "comments": [dataclasses.asdict(c) for c in comments],
+            "comments": [c.to_dict() for c in comments],
             "sales": [[int(i), int(v)] for i, v in sales],
         }
         self._handle.write(json.dumps(event, ensure_ascii=False) + "\n")

@@ -41,7 +41,6 @@ detector actually promises -- are unaffected by the split.
 
 from __future__ import annotations
 
-import dataclasses
 import http.client
 import json
 import os
@@ -50,13 +49,14 @@ import subprocess
 import sys
 import threading
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
 from repro.core.streaming import shard_of
 from repro.serving.httpd import (
     RESPONSE_TIMEOUT_S,
+    JsonHTTPServer,
+    JsonRequestHandler,
     parse_comment_row,
     parse_item_ids,
     parse_sales_row,
@@ -312,10 +312,8 @@ class ShardWorker:
         )
 
 
-class ClusterHTTPServer(ThreadingHTTPServer):
+class ClusterHTTPServer(JsonHTTPServer):
     """Routing front end over a list of :class:`ShardWorker`\\ s."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -323,48 +321,18 @@ class ClusterHTTPServer(ThreadingHTTPServer):
         workers: list[ShardWorker],
         verbose: bool = False,
     ) -> None:
-        super().__init__(address, ClusterRequestHandler)
+        super().__init__(address, ClusterRequestHandler, verbose=verbose)
         self.workers = workers
-        self.verbose = verbose
-        self.telemetry = TelemetryRegistry()
 
     @property
     def n_shards(self) -> int:
         return len(self.workers)
 
 
-class ClusterRequestHandler(BaseHTTPRequestHandler):
+class ClusterRequestHandler(JsonRequestHandler):
     server_version = "repro-cluster-router/1"
-    protocol_version = "HTTP/1.1"
+    response_counter_prefix = "router_responses_"
     server: ClusterHTTPServer
-
-    # -- plumbing ------------------------------------------------------------
-
-    def log_message(self, format: str, *args: Any) -> None:
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self.server.telemetry.inc(f"router_responses_{status // 100}xx")
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise ValueError("empty request body")
-        return json.loads(self.rfile.read(length).decode("utf-8"))
 
     def _fan_out(
         self, method: str, path: str, per_shard: dict[int, Any]
@@ -558,7 +526,7 @@ class ClusterRequestHandler(BaseHTTPRequestHandler):
             target = per_shard.setdefault(
                 shard_of(record.item_id, n), {"comments": [], "sales": []}
             )
-            target["comments"].append(dataclasses.asdict(record))
+            target["comments"].append(record.to_dict())
         for item_id, volume in sales:
             target = per_shard.setdefault(
                 shard_of(item_id, n), {"comments": [], "sales": []}

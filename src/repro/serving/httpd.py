@@ -3,7 +3,9 @@
 Built on ``http.server.ThreadingHTTPServer`` -- no new dependencies.
 Handler threads only parse JSON and block on the service's response
 futures; all real work happens on the service's single scheduler
-thread, so concurrency here is safe by construction.
+thread, so concurrency here is safe by construction.  The transport
+plumbing (:class:`JsonHTTPServer` / :class:`JsonRequestHandler`) is
+shared with the cluster router in :mod:`repro.serving.cluster`.
 
 Endpoints
 ---------
@@ -114,29 +116,45 @@ def parse_item_ids(value: Any) -> list[int]:
         raise ValueError(f"item ids must be integers: {exc}") from exc
 
 
-class DetectionHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`DetectionService`."""
+class JsonHTTPServer(ThreadingHTTPServer):
+    """Threading HTTP server with a telemetry registry.
+
+    The listen backlog is raised from socketserver's 5 to 128: a burst
+    of new connections (a crawler fleet starting together, a router
+    opening its pool) would otherwise overflow the accept queue, and
+    each dropped SYN waits out the kernel's 1 s retransmit timer.
+    """
 
     daemon_threads = True
+    request_queue_size = 128
 
     def __init__(
         self,
         address: tuple[str, int],
-        service: DetectionService,
+        handler: type["JsonRequestHandler"],
         verbose: bool = False,
     ) -> None:
-        super().__init__(address, DetectionRequestHandler)
-        self.service = service
+        super().__init__(address, handler)
         self.verbose = verbose
         self.telemetry = TelemetryRegistry()
 
 
-class DetectionRequestHandler(BaseHTTPRequestHandler):
-    server_version = "repro-serving/1"
-    protocol_version = "HTTP/1.1"
-    server: DetectionHTTPServer
+class JsonRequestHandler(BaseHTTPRequestHandler):
+    """JSON-over-HTTP/1.1 plumbing shared by the shard and router handlers.
 
-    # -- plumbing ------------------------------------------------------------
+    ``disable_nagle_algorithm`` sets TCP_NODELAY on every accepted
+    socket.  The response goes out as two writes (headers, then body);
+    with Nagle on, the body waits until the peer ACKs the headers, and
+    a keep-alive peer delays that ACK by ~40 ms -- a stall on every
+    request that dwarfs the work behind it.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    #: Prefix of the per-status-class response counters
+    #: (``<prefix>2xx``, ``<prefix>4xx``, ...).
+    response_counter_prefix = "http_responses_"
+    server: JsonHTTPServer
 
     def log_message(self, format: str, *args: Any) -> None:
         if self.server.verbose:
@@ -148,7 +166,9 @@ class DetectionRequestHandler(BaseHTTPRequestHandler):
         payload: dict[str, Any],
         headers: dict[str, str] | None = None,
     ) -> None:
-        self.server.telemetry.inc(f"http_responses_{status // 100}xx")
+        self.server.telemetry.inc(
+            f"{self.response_counter_prefix}{status // 100}xx"
+        )
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -163,6 +183,24 @@ class DetectionRequestHandler(BaseHTTPRequestHandler):
         if length <= 0:
             raise ValueError("empty request body")
         return json.loads(self.rfile.read(length).decode("utf-8"))
+
+
+class DetectionHTTPServer(JsonHTTPServer):
+    """Threading HTTP server bound to one :class:`DetectionService`."""
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        service: DetectionService,
+        verbose: bool = False,
+    ) -> None:
+        super().__init__(address, DetectionRequestHandler, verbose=verbose)
+        self.service = service
+
+
+class DetectionRequestHandler(JsonRequestHandler):
+    server_version = "repro-serving/1"
+    server: DetectionHTTPServer
 
     # -- routes --------------------------------------------------------------
 

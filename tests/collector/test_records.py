@@ -1,5 +1,6 @@
 """Tests for repro.collector.records."""
 
+import dataclasses
 import json
 
 import pytest
@@ -81,6 +82,13 @@ class TestCommentRecord:
         data = json.loads(record.to_json())
         assert data["content"] == "haoping!"
         assert data["comment_id"] == 100
+
+    def test_to_dict_equals_asdict(self):
+        record = CommentRecord.from_row(COMMENT_ROW)
+        assert record.to_dict() == dataclasses.asdict(record)
+        assert list(record.to_dict()) == [
+            field.name for field in dataclasses.fields(CommentRecord)
+        ]
 
     def test_missing_content(self):
         row = {k: v for k, v in COMMENT_ROW.items() if k != "comment_content"}

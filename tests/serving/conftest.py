@@ -8,6 +8,11 @@ arriving fully formed.
 
 from __future__ import annotations
 
+import http.client
+import json
+import statistics
+import time
+
 import pytest
 
 from repro.analysis.adapters import comment_records_for_item
@@ -27,6 +32,36 @@ def interleaved_feed(platform, n_items: int = 25) -> list[CommentRecord]:
             if level < len(records):
                 feed.append(records[level])
     return feed
+
+
+def keepalive_median_ms(
+    host: str, port: int, method: str, path: str, body=None, n: int = 20
+) -> float:
+    """Median round trip of *n* sequential requests on ONE connection.
+
+    A keep-alive client is where a Nagle/delayed-ACK stall shows: the
+    server's body write waits for the ACK of its header write, which
+    the client delays by ~40 ms.
+    """
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    payload = json.dumps(body) if body is not None else None
+    samples = []
+    try:
+        for _ in range(n):
+            started = time.perf_counter()
+            conn.request(
+                method,
+                path,
+                body=payload,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            response.read()
+            samples.append((time.perf_counter() - started) * 1000)
+            assert response.status == 200, (method, path, response.status)
+    finally:
+        conn.close()
+    return statistics.median(samples)
 
 
 @pytest.fixture(scope="session")

@@ -8,13 +8,15 @@ subsequent alerts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.core.streaming import StreamingDetector
+from repro.core.streaming import STATE_VERSION, StreamingDetector
 from repro.serving.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     CheckpointManager,
 )
@@ -103,6 +105,51 @@ class TestManager:
         (path / "sums.npz").unlink()
         with pytest.raises(CheckpointError):
             manager.load_latest()
+
+
+class TestFormatPinned:
+    """Comment dicts are built field by field instead of through
+    ``dataclasses.asdict``; the layout must not move, so checkpoints
+    written by the ``asdict`` exporter keep restoring."""
+
+    def test_versions_unchanged(self):
+        assert CHECKPOINT_VERSION == 1
+        assert STATE_VERSION == 1
+
+    def test_exported_comments_equal_asdict(self, trained_cats, feed):
+        detector = run_detector(trained_cats, feed)
+        state = detector.export_state()
+        n_compared = 0
+        for item in state["items"]:
+            buffered = detector._items[item["item_id"]].comments
+            assert len(item["comments"]) == len(buffered)
+            for exported, record in zip(item["comments"], buffered):
+                reference = dataclasses.asdict(record)
+                assert exported == reference
+                assert list(exported) == list(reference)
+                n_compared += 1
+        assert n_compared > 0
+
+    def test_asdict_written_checkpoint_restores(
+        self, manager, trained_cats, feed, feed_item_ids
+    ):
+        cut = len(feed) // 2
+        half = run_detector(trained_cats, feed[:cut])
+        state = half.export_state()
+        for item in state["items"]:
+            item["comments"] = [
+                dataclasses.asdict(record)
+                for record in half._items[item["item_id"]].comments
+            ]
+        manager.save(state)
+        loaded, _ = manager.load_latest()
+        restored = StreamingDetector.from_state(trained_cats, loaded)
+        restored.observe_many(feed[cut:])
+        uninterrupted = run_detector(trained_cats, feed)
+        assert restored.alerts == uninterrupted.alerts
+        assert restored.force_rescore_many(feed_item_ids) == (
+            uninterrupted.force_rescore_many(feed_item_ids)
+        )
 
 
 class TestRoundTripProperty:

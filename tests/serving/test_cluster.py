@@ -21,6 +21,7 @@ from repro.serving.cluster import (
     aggregate_shard_stats,
     shard_checkpoint_dir,
 )
+from tests.serving.conftest import keepalive_median_ms
 
 N_SHARDS = 2
 
@@ -329,6 +330,27 @@ class TestClusterServing:
         assert "shard" in body["error"]
         _, after = worker.request("GET", "/stats")
         assert after["records_observed"] == before["records_observed"]
+
+    def test_keepalive_round_trip_has_no_delayed_ack_stall(
+        self, cluster, router, feed
+    ):
+        """Router -> pooled shard connection -> router: no hop may wait
+        on a delayed ACK (>= 40 ms each); the workers hold batches for
+        only 2 ms here."""
+        rows = [dataclasses.asdict(r) for r in feed[:60]]
+        assert router("POST", "/ingest", {"comments": rows})[0] == 200
+        healthz_ms = keepalive_median_ms(
+            cluster.host, cluster.port, "GET", "/healthz"
+        )
+        score_ms = keepalive_median_ms(
+            cluster.host,
+            cluster.port,
+            "POST",
+            "/score",
+            {"item_ids": [feed[0].item_id]},
+        )
+        assert healthz_ms < 10, healthz_ms
+        assert score_ms < 10, score_ms
 
 
 class TestClusterDrift:

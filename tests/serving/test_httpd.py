@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import threading
 import time
@@ -11,6 +12,7 @@ import pytest
 
 from repro.serving import DetectionService, make_server
 from repro.serving.httpd import parse_comment_row
+from tests.serving.conftest import keepalive_median_ms
 
 
 @pytest.fixture()
@@ -382,3 +384,70 @@ class TestDriftEndpoint:
             server.shutdown()
             server.server_close()
             service.stop()
+
+
+class TestTransport:
+    """Latency that comes from the socket layer, not from the service."""
+
+    @pytest.fixture()
+    def unbatched(self, trained_cats):
+        """A live server whose service holds no batch open (0 ms)."""
+        service = DetectionService(
+            trained_cats, rescore_growth=1.0, max_delay_ms=0
+        ).start()
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield service, server.server_address[1]
+        server.shutdown()
+        server.server_close()
+        service.stop()
+
+    def test_keepalive_round_trip_has_no_delayed_ack_stall(
+        self, unbatched, feed, feed_item_ids
+    ):
+        service, port = unbatched
+        service.feed(feed, timeout=60)
+        healthz_ms = keepalive_median_ms("127.0.0.1", port, "GET", "/healthz")
+        score_ms = keepalive_median_ms(
+            "127.0.0.1",
+            port,
+            "POST",
+            "/score",
+            {"item_ids": feed_item_ids[:1]},
+        )
+        # A delayed-ACK stall costs >= 40 ms per request.
+        assert healthz_ms < 10, healthz_ms
+        assert score_ms < 10, score_ms
+
+    def test_connection_burst_is_not_dropped(self, unbatched):
+        """32 clients connecting at once all get answered promptly; an
+        accept queue of 5 drops SYNs that then wait out a 1 s retry."""
+        _, port = unbatched
+        n_clients = 32
+        barrier = threading.Barrier(n_clients)
+        elapsed: list[float] = []
+        errors: list[BaseException] = []
+
+        def client() -> None:
+            try:
+                barrier.wait()
+                started = time.perf_counter()
+                conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                conn.close()
+                assert response.status == 200
+                elapsed.append(time.perf_counter() - started)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client) for _ in range(n_clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors[0]
+        assert len(elapsed) == n_clients
+        assert max(elapsed) < 0.5, sorted(elapsed)[-5:]

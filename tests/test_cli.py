@@ -1,6 +1,10 @@
 """Tests for the cats command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,29 @@ def model_dir(tmp_path_factory, trained_cats):
     path = tmp_path_factory.mktemp("cli_model")
     save_cats(trained_cats, path)
     return path
+
+
+def test_import_leaves_analysis_stack_unloaded():
+    """``cats serve`` processes (router and every shard) import the CLI;
+    the reporting stack (scipy.stats, networkx) is ``evaluate``-only."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    probe = (
+        "import sys, repro.cli\n"
+        "print([m for m in sys.modules if m == 'repro.analysis'"
+        " or m.startswith(('repro.analysis.', 'scipy.stats', 'networkx'))])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestParser:
