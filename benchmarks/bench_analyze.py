@@ -32,7 +32,6 @@ the full-scale artifact instead of clobbering it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -40,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchutil import peak_rss_mib
+from benchutil import RESULTS_DIR, peak_rss_mib, write_result
 
 from repro.analysis.reporting import render_table
 from repro.core.analyzer import SemanticAnalyzer
@@ -48,8 +47,6 @@ from repro.core.columnar import ColumnarCommentStore, append_comments
 from repro.core.features import FeatureExtractor
 from repro.core.parallel_analysis import analyze_many
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Acceptance floor: comments/sec at 4 workers over serial, enforced
 #: only on hosts with >= 4 CPUs (see module docstring).
@@ -215,20 +212,12 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
+def write_outputs(result: dict) -> Path:
     """Full runs own ``BENCH_analyze.json`` (the checked-in artifact);
-    quick smoke runs write alongside it so they never clobber the
-    full-scale numbers."""
-    payload = json.dumps(result, indent=2) + "\n"
-    name = (
-        "BENCH_analyze_quick.json"
-        if result["quick"]
-        else "BENCH_analyze.json"
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(payload, encoding="utf-8")
-    if not result["quick"]:
-        (REPO_ROOT / name).write_text(payload, encoding="utf-8")
+    quick smoke runs write ``BENCH_analyze_quick.json`` beside it so
+    they never clobber the full-scale numbers."""
+    name = "BENCH_analyze_quick" if result["quick"] else "BENCH_analyze"
+    return write_result(f"{name}.json", result)
 
 
 def check_acceptance(result: dict) -> None:
@@ -243,13 +232,13 @@ def check_acceptance(result: dict) -> None:
 
 def test_analyze(benchmark):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
+    from conftest import write_result as write_table
 
     result = benchmark.pedantic(
         lambda: run(quick=True), rounds=1, iterations=1
     )
     write_outputs(result)
-    write_result("analyze", render(result))
+    write_table("analyze", render(result))
     check_acceptance(result)
 
 
@@ -269,16 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick, scale=args.scale)
-    write_outputs(result)
+    written = write_outputs(result)
     text = render(result)
     (RESULTS_DIR / "analyze.txt").write_text(text + "\n", encoding="utf-8")
     print(text)
-    written = (
-        str(RESULTS_DIR / "BENCH_analyze_quick.json")
-        if args.quick
-        else f"{RESULTS_DIR / 'BENCH_analyze.json'} and "
-        f"{REPO_ROOT / 'BENCH_analyze.json'}"
-    )
     print(f"\nwrote {written}", file=sys.stderr)
     check_acceptance(result)
     return 0

@@ -39,7 +39,7 @@ Run standalone:
 
 ``--quick`` shrinks the model, feed and request counts for the CI
 smoke check (see ``scripts/verify.sh``).  Results go to
-``BENCH_cluster.json`` at the repo root and under
+``BENCH_cluster.json`` under
 ``benchmarks/results/``.
 """
 
@@ -57,14 +57,14 @@ import threading
 import time
 from pathlib import Path
 
+from benchutil import RESULTS_DIR, write_result
+
 from repro.analysis.reporting import render_table
 from repro.core.persistence import save_cats
 from repro.serving.cluster import ShardCluster
 
 from bench_serving_throughput import build_system, item_feed
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Acceptance floor: 4-shard rps over 1-shard rps (enforced only when
 #: the host has at least 4 CPUs; see module docstring).
@@ -375,13 +375,8 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    payload = json.dumps(result, indent=2) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_cluster.json").write_text(
-        payload, encoding="utf-8"
-    )
-    (REPO_ROOT / "BENCH_cluster.json").write_text(payload, encoding="utf-8")
+def write_outputs(result: dict) -> Path:
+    return write_result("BENCH_cluster.json", result)
 
 
 def check_acceptance(result: dict) -> None:
@@ -418,17 +413,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick)
-    write_outputs(result)
+    written = write_outputs(result)
     text = render(result)
     (RESULTS_DIR / "cluster_serving.txt").write_text(
         text + "\n", encoding="utf-8"
     )
     print(text)
-    print(
-        f"\nwrote {RESULTS_DIR / 'BENCH_cluster.json'} and "
-        f"{REPO_ROOT / 'BENCH_cluster.json'}",
-        file=sys.stderr,
-    )
+    print(f"\nwrote {written}", file=sys.stderr)
     check_acceptance(result)
     return 0
 

@@ -26,8 +26,8 @@ The benchmark *asserts* correctness before it reports timings:
 * the vectorized path must clear ``MIN_SPEEDUP`` (3x) over the scalar
   reference on the duplicate-heavy feed.
 
-Results are written to ``BENCH_pipeline.json`` at the repo root and
-under ``benchmarks/results/``.
+Results are written to ``BENCH_pipeline.json`` under
+``benchmarks/results/``.
 
 Run standalone:
 
@@ -40,18 +40,17 @@ Run standalone:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from benchutil import RESULTS_DIR, write_result
+
 from repro.analysis.reporting import render_table
 from repro.core.features import FeatureExtractor, ItemAccumulator
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Acceptance floor: vectorized comments/sec over scalar comments/sec
 #: on the duplicate-heavy feed.
@@ -209,15 +208,8 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    payload = json.dumps(result, indent=2) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_pipeline.json").write_text(
-        payload, encoding="utf-8"
-    )
-    (REPO_ROOT / "BENCH_pipeline.json").write_text(
-        payload, encoding="utf-8"
-    )
+def write_outputs(result: dict) -> Path:
+    return write_result("BENCH_pipeline.json", result)
 
 
 def check_speedup(result: dict) -> None:
@@ -229,7 +221,7 @@ def check_speedup(result: dict) -> None:
 
 def test_comment_pipeline(benchmark, cats, d1):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
+    from conftest import write_result as write_table
 
     texts = comment_feed(d1, n_distinct=600)
     extractor = FeatureExtractor(cats.analyzer)
@@ -240,7 +232,7 @@ def test_comment_pipeline(benchmark, cats, d1):
     )
     result = run(quick=True)
     write_outputs(result)
-    write_result("comment_pipeline", render(result))
+    write_table("comment_pipeline", render(result))
     check_speedup(result)
 
 
@@ -254,17 +246,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick)
-    write_outputs(result)
+    written = write_outputs(result)
     text = render(result)
     (RESULTS_DIR / "comment_pipeline.txt").write_text(
         text + "\n", encoding="utf-8"
     )
     print(text)
-    print(
-        f"\nwrote {RESULTS_DIR / 'BENCH_pipeline.json'} and "
-        f"{REPO_ROOT / 'BENCH_pipeline.json'}",
-        file=sys.stderr,
-    )
+    print(f"\nwrote {written}", file=sys.stderr)
     check_speedup(result)
     return 0
 

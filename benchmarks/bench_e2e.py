@@ -22,8 +22,8 @@ Taobao snapshot).  Six timed phases, one process:
   persisted store and rebuild the same matrix by pure array slicing,
   with **zero** re-segmentation (asserted against the analyzer's
   segmentation counter);
-* **detect** -- score the rehydrated matrix through the chunked
-  deployment classifier;
+* **detect** -- score the rehydrated matrix through the deployment
+  classifier;
 * **train** -- fit the detector-settings GBDT on the D1-scale feature
   matrix through the level-synchronous histogram engine
   (:mod:`repro.ml.hist_engine`, threaded on multi-core hosts) -- the
@@ -38,8 +38,8 @@ The benchmark *asserts* correctness before it reports timings:
 * rehydration must clear ``MIN_REHYDRATE_SPEEDUP`` (3x) over the live
   analyze+extract restart cost it replaces.
 
-Wall time per phase and peak RSS are written to ``BENCH_e2e.json`` at
-the repo root and under ``benchmarks/results/``.
+Wall time per phase and peak RSS are written to ``BENCH_e2e.json`` under
+``benchmarks/results/``.
 
 Run standalone:
 
@@ -53,7 +53,6 @@ full-scale artifact instead of clobbering it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -62,18 +61,12 @@ from pathlib import Path
 
 import numpy as np
 
-from benchutil import peak_rss_mib
+from benchutil import RESULTS_DIR, peak_rss_mib, write_result
 
 from repro.analysis.reporting import render_table
 from repro.core.columnar import ColumnarCommentStore, append_comments
 from repro.core.features import FeatureExtractor
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
-
-#: Rows per scoring chunk -- the deployment default (matches
-#: bench_table6).
-SCORE_CHUNK_SIZE = 65536
 
 #: Comments per analyze-and-append batch.
 ANALYZE_CHUNK_SIZE = 8192
@@ -231,11 +224,9 @@ def run(quick: bool, scale: float | None = None) -> dict:
                 "live-analysis matrix bit for bit"
             )
 
-        print("detect: chunked scoring ...", file=sys.stderr)
+        print("detect: scoring ...", file=sys.stderr)
         t0 = time.perf_counter()
-        report = cats.detect_with_features(
-            d1.items, rehydrated, chunk_size=SCORE_CHUNK_SIZE
-        )
+        report = cats.detect_with_features(d1.items, rehydrated)
         detect_s = time.perf_counter() - t0
 
         print(
@@ -290,7 +281,6 @@ def run(quick: bool, scale: float | None = None) -> dict:
         "bit_identical": True,  # asserted above
         "resegmented": 0,  # asserted above
         "n_reported": report.n_reported,
-        "score_chunk_size": SCORE_CHUNK_SIZE,
         "peak_rss_mib": round(peak_rss_mib(), 1),
     }
 
@@ -304,16 +294,12 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    """Full runs own ``BENCH_e2e.json`` (the checked-in artifact); quick
-    smoke runs write alongside it so they never clobber the full-scale
-    numbers."""
-    payload = json.dumps(result, indent=2) + "\n"
-    name = "BENCH_e2e_quick.json" if result["quick"] else "BENCH_e2e.json"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(payload, encoding="utf-8")
-    if not result["quick"]:
-        (REPO_ROOT / name).write_text(payload, encoding="utf-8")
+def write_outputs(result: dict) -> Path:
+    """Full runs own ``BENCH_e2e.json`` (the checked-in artifact);
+    quick smoke runs write ``BENCH_e2e_quick.json`` beside it so
+    they never clobber the full-scale numbers."""
+    name = "BENCH_e2e_quick" if result["quick"] else "BENCH_e2e"
+    return write_result(f"{name}.json", result)
 
 
 def check_acceptance(result: dict) -> None:
@@ -326,13 +312,13 @@ def check_acceptance(result: dict) -> None:
 
 def test_e2e(benchmark):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
+    from conftest import write_result as write_table
 
     result = benchmark.pedantic(
         lambda: run(quick=True), rounds=1, iterations=1
     )
     write_outputs(result)
-    write_result("e2e", render(result))
+    write_table("e2e", render(result))
     check_acceptance(result)
 
 
@@ -352,16 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick, scale=args.scale)
-    write_outputs(result)
+    written = write_outputs(result)
     text = render(result)
     (RESULTS_DIR / "e2e.txt").write_text(text + "\n", encoding="utf-8")
     print(text)
-    written = (
-        str(RESULTS_DIR / "BENCH_e2e_quick.json")
-        if args.quick
-        else f"{RESULTS_DIR / 'BENCH_e2e.json'} and "
-        f"{REPO_ROOT / 'BENCH_e2e.json'}"
-    )
     print(f"\nwrote {written}", file=sys.stderr)
     check_acceptance(result)
     return 0

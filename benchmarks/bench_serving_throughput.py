@@ -15,8 +15,8 @@ Both configurations run over identical detector state, and the
 benchmark *asserts* their per-item probabilities are identical, then
 asserts the acceptance criterion: micro-batched throughput must be at
 least ``MIN_SPEEDUP`` (2x) the baseline.  Results (req/s, p50/p99 batch
-latency) are written to ``BENCH_serving.json`` at the repo root and
-under ``benchmarks/results/``.
+latency) are written to ``BENCH_serving.json`` under
+``benchmarks/results/``.
 
 Run standalone:
 
@@ -29,18 +29,17 @@ Run standalone:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 import time
 from pathlib import Path
 
+from benchutil import RESULTS_DIR, write_result
+
 from repro.analysis.reporting import render_table
 from repro.collector.records import CommentRecord
 from repro.serving import DetectionService
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Acceptance floor: micro-batched req/s over one-at-a-time req/s.
 MIN_SPEEDUP = 2.0
@@ -112,7 +111,7 @@ def make_service(cats, feed, **kwargs) -> DetectionService:
     """A started service pre-loaded with *feed* (ingest not measured)."""
     service = DetectionService(cats, rescore_growth=1.25, **kwargs).start()
     for start in range(0, len(feed), 200):
-        service.ingest(feed[start : start + 200])
+        service.feed(feed[start : start + 200])
     return service
 
 
@@ -225,13 +224,8 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    payload = json.dumps(result, indent=2) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_serving.json").write_text(
-        payload, encoding="utf-8"
-    )
-    (REPO_ROOT / "BENCH_serving.json").write_text(payload, encoding="utf-8")
+def write_outputs(result: dict) -> Path:
+    return write_result("BENCH_serving.json", result)
 
 
 def check_speedup(result: dict) -> None:
@@ -243,7 +237,7 @@ def check_speedup(result: dict) -> None:
 
 def test_serving_throughput(benchmark, cats, d1):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
+    from conftest import write_result as write_table
 
     feed = item_feed(d1, max_items=200)
     item_ids = sorted({record.item_id for record in feed})
@@ -259,7 +253,7 @@ def test_serving_throughput(benchmark, cats, d1):
     service.stop()
     result = run(quick=True, rounds=4)
     write_outputs(result)
-    write_result("serving_throughput", render(result))
+    write_table("serving_throughput", render(result))
     check_speedup(result)
 
 
@@ -280,17 +274,13 @@ def main(argv: list[str] | None = None) -> int:
     rounds = args.rounds or (4 if args.quick else 8)
 
     result = run(args.quick, rounds)
-    write_outputs(result)
+    written = write_outputs(result)
     text = render(result)
     (RESULTS_DIR / "serving_throughput.txt").write_text(
         text + "\n", encoding="utf-8"
     )
     print(text)
-    print(
-        f"\nwrote {RESULTS_DIR / 'BENCH_serving.json'} and "
-        f"{REPO_ROOT / 'BENCH_serving.json'}",
-        file=sys.stderr,
-    )
+    print(f"\nwrote {written}", file=sys.stderr)
     check_speedup(result)
     return 0
 

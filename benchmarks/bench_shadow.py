@@ -21,8 +21,8 @@ halves of that contract:
 * plain throughput is at most ``MAX_OVERHEAD`` (1.5x) the shadowed
   throughput.
 
-Results are written to ``BENCH_shadow.json`` at the repo root and
-under ``benchmarks/results/``.
+Results are written to ``BENCH_shadow.json`` under
+``benchmarks/results/``.
 
 Run standalone:
 
@@ -35,10 +35,10 @@ Run standalone:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from benchutil import RESULTS_DIR, write_result
 from bench_serving_throughput import (
     MAX_BATCH,
     MAX_DELAY_MS,
@@ -51,8 +51,6 @@ from repro.analysis.reporting import render_table
 from repro.core.system import CATS
 from repro.mlops import ShadowScorer
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Acceptance ceiling: plain req/s over shadowed req/s.
 MAX_OVERHEAD = 1.5
@@ -155,11 +153,8 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    payload = json.dumps(result, indent=2) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_shadow.json").write_text(payload, encoding="utf-8")
-    (REPO_ROOT / "BENCH_shadow.json").write_text(payload, encoding="utf-8")
+def write_outputs(result: dict) -> Path:
+    return write_result("BENCH_shadow.json", result)
 
 
 def check_overhead(result: dict) -> None:
@@ -186,17 +181,13 @@ def main(argv: list[str] | None = None) -> int:
     rounds = args.rounds or (4 if args.quick else 8)
 
     result = run(args.quick, rounds)
-    write_outputs(result)
+    written = write_outputs(result)
     text = render(result)
     (RESULTS_DIR / "shadow_overhead.txt").write_text(
         text + "\n", encoding="utf-8"
     )
     print(text)
-    print(
-        f"\nwrote {RESULTS_DIR / 'BENCH_shadow.json'} and "
-        f"{REPO_ROOT / 'BENCH_shadow.json'}",
-        file=sys.stderr,
-    )
+    print(f"\nwrote {written}", file=sys.stderr)
     check_overhead(result)
     return 0
 

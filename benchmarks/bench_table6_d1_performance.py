@@ -7,9 +7,9 @@ Paper:
 Shape: high precision and recall despite ~1.3% fraud prevalence, using
 the detector pre-trained on D0 only.  The benchmark times stage-2
 classification of the filtered D1 items (features precomputed, as in a
-deployed pipeline), scored through the memory-bounded chunked API the
-deployment path uses; wall time and peak RSS are recorded alongside
-the metrics.
+deployed pipeline) through the same memory-bounded scoring path the
+deployment uses; wall time and peak RSS are recorded alongside the
+metrics.
 """
 
 import time
@@ -21,23 +21,14 @@ from repro.analysis.reporting import render_table
 from repro.core.pipeline import EvaluationResult
 from repro.ml.metrics import precision_recall_f1
 
-#: Rows per scoring chunk -- the deployment default (bounds the scoring
-#: working set; the report is identical to unchunked).
-SCORE_CHUNK_SIZE = 65536
-
 
 def test_table6_d1_performance(benchmark, cats, d1, d1_features):
     def score():
         t0 = time.perf_counter()
-        report = cats.detect_with_features(
-            d1.items, d1_features, chunk_size=SCORE_CHUNK_SIZE
-        )
+        report = cats.detect_with_features(d1.items, d1_features)
         return report, time.perf_counter() - t0
 
     report, wall_s = benchmark(score)
-    # Chunking bounds memory but must not change the report.
-    unchunked = cats.detect_with_features(d1.items, d1_features)
-    assert (report.fraud_probability == unchunked.fraud_probability).all()
 
     predictions = report.is_fraud.astype(int)
     precision, recall, f1 = precision_recall_f1(d1.labels, predictions)
@@ -68,8 +59,7 @@ def test_table6_d1_performance(benchmark, cats, d1, d1_features):
     text += (
         f"\n\nreported={report.n_reported} true_fraud={d1.n_fraud} "
         f"filter={report.filter_report}"
-        f"\nscoring: chunk_size={SCORE_CHUNK_SIZE} "
-        f"wall={wall_s:.3f}s peak_rss={peak_rss_mib():.1f}MiB"
+        f"\nscoring: wall={wall_s:.3f}s peak_rss={peak_rss_mib():.1f}MiB"
     )
     write_result("table6_d1_performance", text)
 

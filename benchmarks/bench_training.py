@@ -30,8 +30,8 @@ The benchmark *asserts* correctness before it reports timings:
   ``n_workers`` in {1, 4}, for every candidate classifier;
 * both ``expand_lexicon`` paths must produce **identical** lexicons.
 
-Results are written to ``BENCH_training.json`` at the repo root and
-under ``benchmarks/results/``.
+Results are written to ``BENCH_training.json`` under
+``benchmarks/results/``.
 
 Run standalone:
 
@@ -45,13 +45,14 @@ the paper's D0 (>= 10k rows).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+from benchutil import RESULTS_DIR, write_result
 
 from repro.analysis.reporting import render_table
 from repro.core.detector import CLASSIFIER_FACTORIES, SCALED_CLASSIFIERS
@@ -62,8 +63,6 @@ from repro.semantics.similarity import expand_lexicon
 from repro.semantics.word2vec import Word2Vec
 from repro.text.vocabulary import Vocabulary
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Acceptance floor for hist over exact GBDT fit time at full scale.
 MIN_GBDT_SPEEDUP = 3.0
@@ -293,16 +292,12 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
+def write_outputs(result: dict) -> Path:
     """Full runs own ``BENCH_training.json`` (the checked-in artifact);
-    quick smoke runs write alongside it so they never clobber the
-    full-scale numbers."""
-    payload = json.dumps(result, indent=2) + "\n"
-    name = "BENCH_training_quick.json" if result["quick"] else "BENCH_training.json"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(payload, encoding="utf-8")
-    if not result["quick"]:
-        (REPO_ROOT / name).write_text(payload, encoding="utf-8")
+    quick smoke runs write ``BENCH_training_quick.json`` beside it so
+    they never clobber the full-scale numbers."""
+    name = "BENCH_training_quick" if result["quick"] else "BENCH_training"
+    return write_result(f"{name}.json", result)
 
 
 def check_acceptance(result: dict) -> None:
@@ -333,13 +328,13 @@ def check_acceptance(result: dict) -> None:
 
 def test_training_stack(benchmark):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
+    from conftest import write_result as write_table
 
     result = benchmark.pedantic(
         lambda: run(quick=True), rounds=1, iterations=1
     )
     write_outputs(result)
-    write_result("training_stack", render(result))
+    write_table("training_stack", render(result))
     check_acceptance(result)
 
 
@@ -353,18 +348,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick)
-    write_outputs(result)
+    written = write_outputs(result)
     text = render(result)
     (RESULTS_DIR / "training_stack.txt").write_text(
         text + "\n", encoding="utf-8"
     )
     print(text)
-    written = (
-        str(RESULTS_DIR / "BENCH_training_quick.json")
-        if args.quick
-        else f"{RESULTS_DIR / 'BENCH_training.json'} and "
-        f"{REPO_ROOT / 'BENCH_training.json'}"
-    )
     print(f"\nwrote {written}", file=sys.stderr)
     check_acceptance(result)
     return 0

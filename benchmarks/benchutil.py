@@ -7,8 +7,14 @@ benchmark entries.
 
 from __future__ import annotations
 
+import json
 import resource
 import sys
+from pathlib import Path
+
+#: Where every bench writes its artifacts; the checked-in
+#: ``BENCH_*.json`` files live here and nowhere else.
+RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def peak_rss_mib() -> float:
@@ -21,3 +27,12 @@ def peak_rss_mib() -> float:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     scale = 1024.0 if sys.platform == "darwin" else 1.0
     return peak * scale / 1024.0
+
+
+def write_result(name: str, result: dict) -> Path:
+    """Write one bench's JSON artifact as ``benchmarks/results/<name>``
+    and return its path."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / name
+    path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    return path

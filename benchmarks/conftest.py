@@ -14,10 +14,10 @@ tables are written to ``benchmarks/results/`` and printed (visible with
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
+from benchutil import RESULTS_DIR
 
 from repro.analysis.adapters import crawled_view
 from repro.core.pipeline import run_crawl, train_cats
@@ -37,7 +37,6 @@ def _bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def write_result(name: str, text: str) -> None:

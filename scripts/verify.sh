@@ -2,7 +2,9 @@
 # One-command builder verification: the tier-1 test suite plus the
 # comment-pipeline, streaming, serving, training and inference smoke
 # benches (which assert the bit-identity and incremental-extraction
-# invariants, not just timings).  Also available as `make verify`.
+# invariants, not just timings) and the repo benchmark's own tests
+# (`perfbench/tests`, which drive the public APIs the benchmark
+# calls).  Also available as `make verify`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,6 +37,9 @@ python benchmarks/bench_analyze.py --quick
 
 echo "==> end-to-end D1 smoke bench (--quick)"
 python benchmarks/bench_e2e.py --quick
+
+echo "==> repo benchmark's own tests"
+python -m pytest perfbench/tests -q
 
 echo "==> tier-1 test suite"
 python -m pytest -x -q

@@ -243,19 +243,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         raise SystemExit(f"no items found in {args.data_dir}")
     if args.store:
         features = _load_columnar_features(cats, items, args.store)
-        report = cats.detect_with_features(
-            items,
-            features,
-            chunk_size=args.chunk_size,
-            score_workers=args.score_workers,
-        )
+        report = cats.detect_with_features(items, features)
     else:
-        report = cats.detect(
-            items,
-            n_workers=args.workers,
-            chunk_size=args.chunk_size,
-            score_workers=args.score_workers,
-        )
+        report = cats.detect(items, n_workers=args.workers)
     rows = []
     for idx in report.reported_indices():
         item = items[idx]
@@ -740,16 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument(
         "--workers", type=int, default=None,
         help="worker processes for feature extraction (default serial)",
-    )
-    detect.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="score the classifier in fixed row chunks of this size "
-        "(bounds peak memory; results are identical to unchunked)",
-    )
-    detect.add_argument(
-        "--score-workers", type=int, default=None,
-        help="score chunks on this many workers (default serial; "
-        "probabilities are identical for any worker count)",
     )
     detect.set_defaults(func=_cmd_detect)
 

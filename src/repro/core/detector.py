@@ -50,13 +50,6 @@ CLASSIFIER_FACTORIES: dict[str, Callable[[int], object]] = {
 SCALED_CLASSIFIERS = frozenset({"svm", "neural_network"})
 
 
-def _score_detector_chunk(task) -> np.ndarray:
-    """Score one chunk of converted feature rows; module-level so
-    process-pool workers can import it."""
-    detector, X_chunk = task
-    return detector._score_rows(X_chunk)
-
-
 @dataclass
 class DetectionReport:
     """Output of one detection run over a batch of items."""
@@ -139,57 +132,14 @@ class Detector:
 
     # -- inference -----------------------------------------------------------
 
-    def predict_proba(
-        self,
-        features: np.ndarray,
-        chunk_size: int | None = None,
-        n_workers: int | None = None,
-    ) -> np.ndarray:
-        """Stage-2 P(fraud) for already-filtered feature rows.
-
-        ``chunk_size`` scores the matrix in fixed row chunks (bounding
-        peak memory at D1/E-platform scale) and ``n_workers > 1`` scores
-        chunks concurrently.  Chunk boundaries depend only on
-        ``chunk_size`` and rows are scored independently, so the
-        tree-based classifiers return bitwise identical probabilities
-        for any chunking and worker count.
-        """
-        X = np.asarray(features, dtype=np.float64)
-        return self._predict_proba_converted(X, chunk_size, n_workers)
-
-    def _predict_proba_converted(
-        self,
-        X: np.ndarray,
-        chunk_size: int | None = None,
-        n_workers: int | None = None,
-    ) -> np.ndarray:
-        """Scoring core for rows already converted to float64 (the
-        detect path converts exactly once and comes straight here)."""
-        n = len(X)
-        if chunk_size is None and n_workers is not None and n_workers > 1:
-            chunk_size = -(-n // n_workers)  # ceil: one chunk per worker
-        if chunk_size is None or chunk_size >= n:
-            return self._score_rows(X)
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        bounds = [
-            (start, min(start + chunk_size, n))
-            for start in range(0, n, chunk_size)
-        ]
-        if n_workers is not None and n_workers > 1 and len(bounds) > 1:
-            from repro.ml.model_selection import _map_ordered
-
-            parts = _map_ordered(
-                _score_detector_chunk,
-                [(self, X[s:e]) for s, e in bounds],
-                n_workers,
-            )
-        else:
-            parts = [self._score_rows(X[s:e]) for s, e in bounds]
-        return np.concatenate(parts)
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        """Stage-2 P(fraud) for already-filtered feature rows."""
+        return self._score_rows(np.asarray(features, dtype=np.float64))
 
     def _score_rows(self, X: np.ndarray) -> np.ndarray:
-        """Scale (if needed) and score one chunk of converted rows."""
+        """Scale (if needed) and score rows already converted to
+        float64 (the detect path converts exactly once and comes
+        straight here)."""
         if self._scaler is not None:
             X = self._scaler.transform(X)
         return self.model.predict_proba(X)[:, 1]
@@ -208,19 +158,13 @@ class Detector:
         }
 
     def detect(
-        self,
-        items: Sequence,
-        feature_matrix: np.ndarray,
-        chunk_size: int | None = None,
-        n_workers: int | None = None,
+        self, items: Sequence, feature_matrix: np.ndarray
     ) -> DetectionReport:
         """Run both stages over *items* with their feature rows.
 
         ``items`` must expose ``sales_volume`` and ``comment_texts``
         (both :class:`~repro.ecommerce.entities.Item` and
         :class:`~repro.collector.records.CrawledItem` do).
-        ``chunk_size`` / ``n_workers`` control stage-2 batch scoring
-        (see :meth:`predict_proba`).
         """
         # Convert once; the filtered rows flow to the classifier without
         # a second asarray pass.
@@ -228,9 +172,7 @@ class Detector:
         passed, filter_report = self.rule_filter.evaluate(items, features)
         proba = np.zeros(len(items))
         if passed.any():
-            proba[passed] = self._predict_proba_converted(
-                features[passed], chunk_size, n_workers
-            )
+            proba[passed] = self._score_rows(features[passed])
         flagged = proba >= self.config.threshold
         return DetectionReport(
             is_fraud=flagged,

@@ -95,22 +95,13 @@ def evaluate_on_dataset(
     cats: CATS,
     dataset: LabeledDataset,
     n_workers: int | None = None,
-    chunk_size: int | None = None,
-    score_workers: int | None = None,
 ) -> tuple[EvaluationResult, DetectionReport]:
     """Detect over *dataset* and compute Table VI metrics.
 
     ``n_workers > 1`` parallelizes feature extraction (the hot path)
-    across worker processes; ``chunk_size`` / ``score_workers`` chunk
-    and parallelize stage-2 scoring.  Results are identical to the
-    serial run.
+    across worker processes; results are identical to the serial run.
     """
-    report = cats.detect(
-        dataset.items,
-        n_workers=n_workers,
-        chunk_size=chunk_size,
-        score_workers=score_workers,
-    )
+    report = cats.detect(dataset.items, n_workers=n_workers)
     predictions = report.is_fraud.astype(int)
     precision, recall, f1 = precision_recall_f1(dataset.labels, predictions)
 

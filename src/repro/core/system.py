@@ -83,36 +83,23 @@ class CATS:
         )
 
     def detect(
-        self,
-        items: Sequence,
-        n_workers: int | None = None,
-        chunk_size: int | None = None,
-        score_workers: int | None = None,
+        self, items: Sequence, n_workers: int | None = None
     ) -> DetectionReport:
         """Detect fraud items among *items* on any platform.
 
-        ``n_workers`` parallelizes feature extraction; ``chunk_size``
-        and ``score_workers`` control stage-2 batch scoring (see
-        :meth:`Detector.predict_proba`).
+        ``n_workers`` parallelizes feature extraction (see
+        :meth:`extract_features`).
         """
         features = self.feature_extractor.extract_items(
             items, n_workers=n_workers
         )
-        return self.detector.detect(
-            items, features, chunk_size=chunk_size, n_workers=score_workers
-        )
+        return self.detector.detect(items, features)
 
     def detect_with_features(
-        self,
-        items: Sequence,
-        features: np.ndarray,
-        chunk_size: int | None = None,
-        score_workers: int | None = None,
+        self, items: Sequence, features: np.ndarray
     ) -> DetectionReport:
         """Detect when features were already extracted (avoids rework)."""
-        return self.detector.detect(
-            items, features, chunk_size=chunk_size, n_workers=score_workers
-        )
+        return self.detector.detect(items, features)
 
     # -- model selection ------------------------------------------------------
 

@@ -32,9 +32,9 @@ implements the algorithm of Chen & Guestrin (KDD'16) from scratch:
 Scoring goes through the packed-arena engine of
 :mod:`repro.ml.inference`: ``decision_function`` lazily freezes the
 fitted trees into one contiguous node arena and traverses them all
-simultaneously, with opt-in ``chunk_size`` / ``n_workers`` batch
-scoring; ``decision_function_reference`` keeps the per-tree loop as
-the bit-identity oracle.  During ``fit`` the margin update reuses the
+simultaneously, a fixed block of rows at a time;
+``decision_function_reference`` keeps the per-tree loop as the
+bit-identity oracle.  During ``fit`` the margin update reuses the
 leaf assignment recorded while each tree was grown (a gather instead
 of a re-traversal); under ``subsample`` the gather covers the sampled
 rows and only the left-out rows take ``tree.predict``.
@@ -694,25 +694,16 @@ class GradientBoostingClassifier(BaseClassifier):
             self._packed = packed
         return packed
 
-    def decision_function(
-        self,
-        X,
-        chunk_size: int | None = None,
-        n_workers: int | None = None,
-    ) -> np.ndarray:
+    def decision_function(self, X) -> np.ndarray:
         """Return the raw boosted margin (log-odds) per sample.
 
         Scoring runs through the packed-ensemble arena (all trees
         traversed simultaneously), bitwise identical to
-        :meth:`decision_function_reference`.  ``chunk_size`` bounds the
-        scoring working set and ``n_workers`` scores chunks
-        concurrently; the margins are identical for any combination.
+        :meth:`decision_function_reference`.
         """
         X_arr = check_array(X)
         self._check_n_features(X_arr)
-        return self._packed_ensemble().margins(
-            X_arr, chunk_size=chunk_size, n_workers=n_workers
-        )
+        return self._packed_ensemble().margins(X_arr)
 
     def decision_function_reference(self, X) -> np.ndarray:
         """Per-tree scoring loop, kept as the packed path's bit-identity
@@ -724,18 +715,9 @@ class GradientBoostingClassifier(BaseClassifier):
             margin += self.learning_rate * tree.predict(X_arr)
         return margin
 
-    def predict_proba(
-        self,
-        X,
-        chunk_size: int | None = None,
-        n_workers: int | None = None,
-    ) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         """Return ``(n, 2)`` class probabilities via the logistic link."""
-        prob_pos = stable_sigmoid(
-            self.decision_function(
-                X, chunk_size=chunk_size, n_workers=n_workers
-            )
-        )
+        prob_pos = stable_sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - prob_pos, prob_pos])
 
     # -- importance ---------------------------------------------------------

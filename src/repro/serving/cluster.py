@@ -57,9 +57,9 @@ from repro.serving.httpd import (
     RESPONSE_TIMEOUT_S,
     JsonHTTPServer,
     JsonRequestHandler,
-    parse_comment_row,
+    RequestBodyTooLarge,
+    parse_feed_body,
     parse_item_ids,
-    parse_sales_row,
 )
 from repro.serving.telemetry import TelemetryRegistry
 
@@ -507,18 +507,11 @@ class ClusterRequestHandler(JsonRequestHandler):
             # Validation happens here at the router, before any shard
             # sees a byte -- a malformed request touches no state.
             self._send_json(400, {"error": str(exc)})
+        except RequestBodyTooLarge as exc:
+            self._send_too_large(exc)
 
     def _handle_ingest(self, body: Any) -> None:
-        if not isinstance(body, dict):
-            raise ValueError("body must be a JSON object")
-        rows = body.get("comments", [])
-        if not isinstance(rows, list):
-            raise ValueError('"comments" must be a list')
-        comments = [parse_comment_row(row) for row in rows]
-        sales_rows = body.get("sales", [])
-        if not isinstance(sales_rows, list):
-            raise ValueError('"sales" must be a list of [item_id, volume]')
-        sales = [parse_sales_row(row) for row in sales_rows]
+        comments, sales = parse_feed_body(body)
 
         n = self.server.n_shards
         per_shard: dict[int, dict[str, list]] = {}

@@ -35,6 +35,8 @@ Failure semantics
 * malformed body -> ``400`` -- always a response, never a dropped
   connection (``TypeError`` from non-coercible values is part of the
   400 mapping);
+* declared body over ``MAX_BODY_BYTES`` -> ``413`` and the connection
+  is closed, without reading the body;
 * acknowledgements are atomic: an ``/ingest`` request's comments and
   sales updates travel as ONE queue entry, so a ``503`` means nothing
   was applied and a ``200`` means everything was;
@@ -62,6 +64,13 @@ from repro.serving.telemetry import TelemetryRegistry
 
 #: Handler threads give the scheduler this long before answering 504.
 RESPONSE_TIMEOUT_S = 30.0
+
+#: Largest request body either server reads.  A declared
+#: ``Content-Length`` above it is answered 413 without reading a byte
+#: of the body, so one client cannot make a handler thread buffer an
+#: arbitrary amount of memory.  A crawler page of a few dozen comments
+#: is tens of KiB.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Known endpoint paths; anything else is counted as ``other`` so
 #: arbitrary request paths cannot grow the telemetry registry.
@@ -106,6 +115,28 @@ def parse_sales_row(row: Any) -> tuple[int, int]:
         ) from exc
 
 
+def parse_feed_body(
+    body: Any,
+) -> tuple[list[CommentRecord], list[tuple[int, int]]]:
+    """Validate a whole ``/ingest`` body into ``(comments, sales)``.
+
+    Raises :class:`ValueError` (or its :class:`RecordParseError`
+    subclass) on any malformed part, before anything is submitted, so
+    a rejected request touches no state.
+    """
+    if not isinstance(body, dict):
+        raise ValueError("body must be a JSON object")
+    rows = body.get("comments", [])
+    if not isinstance(rows, list):
+        raise ValueError('"comments" must be a list')
+    comments = [parse_comment_row(row) for row in rows]
+    sales_rows = body.get("sales", [])
+    if not isinstance(sales_rows, list):
+        raise ValueError('"sales" must be a list of [item_id, volume]')
+    sales = [parse_sales_row(row) for row in sales_rows]
+    return comments, sales
+
+
 def parse_item_ids(value: Any) -> list[int]:
     """Validate a ``/score`` item-id list (coercing ids to int)."""
     if not isinstance(value, list):
@@ -114,6 +145,10 @@ def parse_item_ids(value: Any) -> list[int]:
         return [int(item_id) for item_id in value]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"item ids must be integers: {exc}") from exc
+
+
+class RequestBodyTooLarge(Exception):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
 
 
 class JsonHTTPServer(ThreadingHTTPServer):
@@ -182,7 +217,19 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         if length <= 0:
             raise ValueError("empty request body")
+        if length > MAX_BODY_BYTES:
+            raise RequestBodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         return json.loads(self.rfile.read(length).decode("utf-8"))
+
+    def _send_too_large(self, exc: RequestBodyTooLarge) -> None:
+        """Answer 413 and close: the unread body is still in flight,
+        so the connection cannot carry another request."""
+        self._send_json(
+            413, {"error": str(exc)}, headers={"Connection": "close"}
+        )
 
 
 class DetectionHTTPServer(JsonHTTPServer):
@@ -259,6 +306,8 @@ class DetectionRequestHandler(JsonRequestHandler):
             # scalar sales rows): still a client error, still a
             # response -- never a dropped connection.
             self._send_json(400, {"error": str(exc)})
+        except RequestBodyTooLarge as exc:
+            self._send_too_large(exc)
         except QueueFullError as exc:
             self._send_json(
                 503, {"error": str(exc)}, headers={"Retry-After": "1"}
@@ -274,16 +323,7 @@ class DetectionRequestHandler(JsonRequestHandler):
         # request, and an overloaded queue sheds the request whole --
         # the acknowledgement can never claim less (or more) than what
         # actually happened.
-        if not isinstance(body, dict):
-            raise ValueError("body must be a JSON object")
-        rows = body.get("comments", [])
-        if not isinstance(rows, list):
-            raise ValueError('"comments" must be a list')
-        comments = [parse_comment_row(row) for row in rows]
-        sales_rows = body.get("sales", [])
-        if not isinstance(sales_rows, list):
-            raise ValueError('"sales" must be a list of [item_id, volume]')
-        sales = [parse_sales_row(row) for row in sales_rows]
+        comments, sales = parse_feed_body(body)
         if comments or sales:
             result = self.server.service.feed(
                 comments, sales, timeout=RESPONSE_TIMEOUT_S

@@ -76,7 +76,7 @@ def test_full_lifecycle(
         trained_cats, rescore_growth=1.0, max_delay_ms=2
     ).start()
     try:
-        baseline.ingest(feed)
+        baseline.feed(feed)
         baseline_scores = baseline.score(feed_item_ids)
         baseline_alerts = baseline.alerts()
     finally:
@@ -104,7 +104,7 @@ def test_full_lifecycle(
         checkpoint_every=100,
     ).start()
     try:
-        service.ingest(feed)
+        service.feed(feed)
         live_scores = service.score(feed_item_ids)
 
         # Champion outputs are untouched by shadow/drift/recording.
@@ -124,7 +124,7 @@ def test_full_lifecycle(
 
         # Injected shift: reset the window, feed pathological traffic.
         service.drift_monitor.reset()
-        service.ingest(_shifted_comments(feed))
+        service.feed(_shifted_comments(feed))
         assert service.drift_report()["max_psi"] > 0.2
     finally:
         assert service.stop()
@@ -175,7 +175,7 @@ def test_full_lifecycle(
         checkpoint_dir=tmp_path / "checkpoints-v2",
     ).start()
     try:
-        restarted.ingest(feed)
+        restarted.feed(feed)
         restarted_scores = restarted.score(feed_item_ids)
         assert restarted.healthz()["model"]["version"] == 2
     finally:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import statistics
 import time
 
@@ -62,6 +63,31 @@ def keepalive_median_ms(
     finally:
         conn.close()
     return statistics.median(samples)
+
+
+def post_declaring_length(
+    host: str, port: int, path: str, length: int
+) -> tuple[int, dict[str, str], bytes]:
+    """POST headers declaring a *length*-byte body, send no body, and
+    read until the server closes: ``(status, headers, body)``.
+
+    A server that tries to read the declared body blocks and the read
+    times out, so a missing body cap fails the caller instead of
+    hanging it.
+    """
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode("ascii")
+        )
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, body
 
 
 @pytest.fixture(scope="session")

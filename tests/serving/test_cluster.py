@@ -21,7 +21,8 @@ from repro.serving.cluster import (
     aggregate_shard_stats,
     shard_checkpoint_dir,
 )
-from tests.serving.conftest import keepalive_median_ms
+from repro.serving.httpd import MAX_BODY_BYTES
+from tests.serving.conftest import keepalive_median_ms, post_declaring_length
 
 N_SHARDS = 2
 
@@ -351,6 +352,17 @@ class TestClusterServing:
         )
         assert healthz_ms < 10, healthz_ms
         assert score_ms < 10, score_ms
+
+    def test_oversized_body_is_413_and_closes(self, cluster, router):
+        """The router refuses a declared body over the cap before
+        reading any of it, and keeps serving."""
+        status, headers, body = post_declaring_length(
+            cluster.host, cluster.port, "/ingest", MAX_BODY_BYTES + 1
+        )
+        assert status == 413
+        assert headers["Connection"] == "close"
+        assert "exceeds" in json.loads(body)["error"]
+        assert router("GET", "/healthz")[0] == 200
 
 
 class TestClusterDrift:

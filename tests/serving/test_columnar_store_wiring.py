@@ -74,7 +74,7 @@ class TestCheckpointStamp:
     def run_feed(self, service, feed):
         service.start()
         try:
-            service.ingest(feed)
+            service.feed(feed)
             service.score(sorted({r.item_id for r in feed}))
         finally:
             service.stop()
@@ -137,7 +137,7 @@ class TestStatsSurface:
             trained_cats, rescore_growth=1.0, columnar_store=store
         ).start()
         try:
-            service.ingest(feed[:60])
+            service.feed(feed[:60])
             service.score(sorted({r.item_id for r in feed[:60]}))
             stats = service.stats()
         finally:
@@ -153,7 +153,7 @@ class TestStatsSurface:
             trained_cats, rescore_growth=1.0
         ).start()
         try:
-            service.ingest(feed[:20])
+            service.feed(feed[:20])
             stats = service.stats()
         finally:
             service.stop()

@@ -11,8 +11,8 @@ import time
 import pytest
 
 from repro.serving import DetectionService, make_server
-from repro.serving.httpd import parse_comment_row
-from tests.serving.conftest import keepalive_median_ms
+from repro.serving.httpd import MAX_BODY_BYTES, parse_comment_row
+from tests.serving.conftest import keepalive_median_ms, post_declaring_length
 
 
 @pytest.fixture()
@@ -255,7 +255,7 @@ class TestAtomicAcknowledgement:
 
     def _occupy_scheduler(self, service, started):
         """Park the scheduler inside the gate on a no-op batch."""
-        service.submit_ingest([])
+        service.submit_feed([])
         assert started.wait(10)
 
     def test_ack_applies_everything_when_queue_has_room(
@@ -268,7 +268,7 @@ class TestAtomicAcknowledgement:
         request fits the free slot and the ack reports all of it."""
         service, request, started, release = gated_served
         self._occupy_scheduler(service, started)
-        service.submit_ingest([])  # one of two slots -> one free
+        service.submit_feed([])  # one of two slots -> one free
         record = feed[0]
         body = {
             "comments": [dataclasses.asdict(record)],
@@ -297,8 +297,8 @@ class TestAtomicAcknowledgement:
         503, and neither the comments nor the sales update land."""
         service, request, started, release = gated_served
         self._occupy_scheduler(service, started)
-        service.submit_ingest([])
-        service.submit_ingest([])  # queue now at capacity (2)
+        service.submit_feed([])
+        service.submit_feed([])  # queue now at capacity (2)
         record = feed[0]
         status, payload = request(
             "POST",
@@ -451,3 +451,16 @@ class TestTransport:
         assert not errors, errors[0]
         assert len(elapsed) == n_clients
         assert max(elapsed) < 0.5, sorted(elapsed)[-5:]
+
+    def test_oversized_body_is_413_and_closes(self, unbatched):
+        """A declared body over the cap is refused before any of it is
+        read; the server stays up for the next client."""
+        service, port = unbatched
+        status, headers, body = post_declaring_length(
+            "127.0.0.1", port, "/ingest", MAX_BODY_BYTES + 1
+        )
+        assert status == 413
+        assert headers["Connection"] == "close"
+        assert "exceeds" in json.loads(body)["error"]
+        assert service.stats()["records_observed"] == 0
+        keepalive_median_ms("127.0.0.1", port, "GET", "/healthz", n=1)

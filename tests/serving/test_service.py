@@ -21,17 +21,17 @@ def service(trained_cats):
 
 class TestBasics:
     def test_ingest_acknowledges_and_dedupes(self, service, feed):
-        first = service.ingest(feed[:50])
+        first = service.feed(feed[:50])
         assert first.accepted == 50
         assert first.duplicates == 0
-        replay = service.ingest(feed[:50])
+        replay = service.feed(feed[:50])
         assert replay.accepted == 0
         assert replay.duplicates == 50
 
     def test_score_matches_plain_streaming_detector(
         self, trained_cats, service, feed, feed_item_ids
     ):
-        service.ingest(feed)
+        service.feed(feed)
         reference = StreamingDetector(trained_cats, rescore_growth=1.0)
         reference.observe_many(feed)
         expected = reference.force_rescore_many(feed_item_ids)
@@ -39,7 +39,7 @@ class TestBasics:
         assert service.alerts() == reference.alerts
 
     def test_score_unknown_item_fails_only_that_request(self, service, feed):
-        service.ingest(feed[:50])
+        service.feed(feed[:50])
         known = feed[0].item_id
         bad = service.submit_score([known, 404404])
         good = service.submit_score([known])
@@ -48,13 +48,13 @@ class TestBasics:
         assert known in good.result(timeout=10)
 
     def test_sales_updates_apply(self, service, feed):
-        service.ingest(feed[:5])
+        service.feed(feed[:5])
         item_id = feed[0].item_id
-        service.submit_sales(item_id, 5000).result(timeout=10)
+        service.feed([], [(item_id, 5000)], timeout=10)
         assert service.stream._items[item_id].sales_volume == 5000
 
     def test_healthz_and_stats(self, service, feed):
-        service.ingest(feed[:30])
+        service.feed(feed[:30])
         health = service.healthz()
         assert health["status"] == "ok"
         assert health["uptime_s"] >= 0
@@ -66,7 +66,7 @@ class TestBasics:
     def test_packed_predictor_engaged(self, service, feed, feed_item_ids):
         """Smoke test that serving scores run through the packed
         inference arena, not a per-tree fallback (counters in /stats)."""
-        service.ingest(feed)
+        service.feed(feed)
         service.score(feed_item_ids[:5])
         stats = service.stats()
         assert stats["packed_predict_calls"] >= 1
@@ -77,7 +77,7 @@ class TestBasics:
         svc.stop()
         assert svc.healthz()["status"] == "stopped"
         with pytest.raises(Exception):
-            svc.ingest([])
+            svc.feed([])
 
 
 class TestBackpressure:
@@ -93,7 +93,7 @@ class TestBackpressure:
         futures = []
         for record in feed[:200]:
             try:
-                futures.append(svc.submit_ingest([record]))
+                futures.append(svc.submit_feed([record]))
             except QueueFullError:
                 rejected += 1
         svc.stop(drain=True)
@@ -125,7 +125,7 @@ class TestThreadedSmoke:
         def client(index: int) -> None:
             try:
                 for record in shards[index]:
-                    ack = svc.ingest([record], timeout=30)
+                    ack = svc.feed([record], timeout=30)
                     results[index].append(ack)
                     svc.score([record.item_id], timeout=30)
             except BaseException as exc:  # noqa: BLE001
@@ -168,7 +168,7 @@ class TestCheckpointing:
             checkpoint_every=50,
         ).start()
         for start in range(0, 200, 20):
-            svc.ingest(feed[start : start + 20])
+            svc.feed(feed[start : start + 20])
         assert svc.n_checkpoints_written >= 3
         svc.stop()
         final = svc.n_checkpoints_written
@@ -185,7 +185,7 @@ class TestCheckpointing:
             checkpoint_every=40,
             max_delay_ms=1,
         ).start()
-        first.ingest(feed)
+        first.feed(feed)
         expected = first.score(feed_item_ids)
         first.stop()
 
@@ -217,7 +217,7 @@ class TestCheckpointing:
             checkpoint_every=40,
             max_delay_ms=1,
         ).start()
-        first.ingest(feed[:100])
+        first.feed(feed[:100])
         first.stop()
         after_traffic = generations()
         assert after_traffic  # at least the final checkpoint landed
@@ -240,7 +240,7 @@ class TestCheckpointing:
             checkpoint_every=10_000,
             max_delay_ms=1,
         ).start()
-        active.ingest(feed[100:120])
+        active.feed(feed[100:120])
         active.stop()
         assert active.n_checkpoints_written == 1
         assert generations() != after_traffic
@@ -257,14 +257,14 @@ class TestCheckpointing:
             checkpoint_dir=ckpt_dir,
             max_delay_ms=1,
         ).start()
-        first.ingest(feed[:10])
+        first.feed(feed[:10])
         first.stop()
 
         item_id = feed[0].item_id
         second = DetectionService(
             trained_cats, checkpoint_dir=ckpt_dir, max_delay_ms=1
         ).start()
-        second.submit_sales(item_id, 31337).result(timeout=10)
+        second.feed([], [(item_id, 31337)], timeout=10)
         second.stop()
         assert second.n_checkpoints_written == 1
 
@@ -286,7 +286,7 @@ class TestCheckpointing:
             raise OSError("disk on fire")
 
         monkeypatch.setattr(svc.checkpoints, "save", boom)
-        ack = svc.ingest(feed[:40])
+        ack = svc.feed(feed[:40])
         assert ack.accepted == 40
         stats = svc.stats()
         assert stats["checkpoint_failures"] >= 1
